@@ -9,14 +9,19 @@
 // sampling purposes, and short blocking clauses keep the solver fast.
 //
 // Two entry points are provided. Enumerate is the stateless call: it
-// builds a solver, enumerates, and throws the solver away. Session is
-// the incremental engine behind a whole sampling or counting run: the
-// base formula is loaded once, hash XOR rows and per-cell blocking
-// clauses are installed as removable constraints (activation literals
-// passed to Solve as assumptions), and learned clauses survive from one
-// BSAT call to the next. UniGen issues thousands of BSAT calls per
-// session, so not re-ingesting the formula and not discarding the
-// learned-clause database on every call is the dominant hot-path win.
+// builds a solver, re-solves from level 0 once per witness with each
+// blocking clause added permanently, and throws the solver away.
+// Session is the incremental engine behind a whole sampling or counting
+// run: the base formula is loaded once, each cell's hash XOR rows are
+// installed as removable constraints, and learned clauses survive from
+// one BSAT call to the next. Within a cell, a Session finds all
+// witnesses in one CDCL search (sat.Solver.EnumerateModels): each
+// model's blocking clause is attached mid-search under the cell's
+// clause selector, and the solver backjumps and carries on instead of
+// restarting from level 0 and re-propagating the whole trail per
+// witness. Which witnesses a cell yields does not depend on the order
+// they are found in: an exhausted cell is its full projected witness
+// set, and callers sort it canonically.
 package bsat
 
 import (
@@ -38,10 +43,10 @@ type Result struct {
 	// witnesses (the final solver call returned UNSAT), i.e.
 	// len(Witnesses) = |R_F↓S| when len(Witnesses) < N.
 	Exhausted bool
-	// BudgetExceeded is true when a solver call ran out of conflict
-	// budget; the reproduction's analogue of the paper's 2500-second
-	// BSAT timeout. Witnesses found before exhaustion are still
-	// returned.
+	// BudgetExceeded is true when the search for one witness ran out
+	// of conflict or propagation budget; the reproduction's analogue of
+	// the paper's 2500-second BSAT timeout. Witnesses found before
+	// exhaustion are still returned.
 	BudgetExceeded bool
 	// Stats aggregates solver statistics for the call. For Session
 	// enumerations this is the per-call delta, not the cumulative total.
@@ -84,7 +89,6 @@ type Session struct {
 	retired  []*sat.Selector // constraints of the previous call, released lazily
 	assumps  []cnf.Lit       // scratch: activation literals for the current call
 	base     []cnf.Lit       // standing assumption literals (delta requests)
-	blockBuf cnf.Clause      // scratch: blocking clause, reused across witnesses
 	selCount int             // selectors allocated since the last (re)build
 	calls    int             // Enumerate calls served (inprocessing cadence)
 }
@@ -196,11 +200,16 @@ func (se *Session) interruptRaised() bool {
 	return se.cfg.Interrupt != nil && se.cfg.Interrupt.Load()
 }
 
-// Enumerate returns up to n witnesses of f ∧ h, pairwise distinct on the
-// sampling set. The hash rows are installed as removable XOR
-// constraints and the previous call's hash and blocking clauses are
-// released first, so consecutive calls reuse all accumulated solver
-// state. h may be nil (enumeration of f itself).
+// Enumerate returns up to n witnesses of f ∧ h (and the standing
+// assumptions), pairwise distinct on the sampling set. The previous
+// call's hash rows and blocking clauses are released first, so
+// consecutive calls reuse all accumulated solver state; h may be nil
+// (enumeration of f itself). The hash rows are installed as removable
+// XOR constraints and the cell is then enumerated inside one CDCL
+// search: every witness's blocking clause joins the cell's clause
+// selector mid-search, followed by a backjump. Conflict and
+// propagation budgets apply to each witness search separately, so
+// BudgetExceeded means one witness search ran out, not the cell.
 func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 	// Chaos injection points (inert unless a test arms them). A stalled
 	// call that the interrupt cuts short reports budget exhaustion — the
@@ -277,38 +286,22 @@ func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 	var res Result
 	if emptyCell {
 		res.Exhausted = true
-		se.selCount += len(sels)
-		se.retired = sels
-		se.assumps = acts
-		res.Stats = statsDelta(se.s.Stats(), before)
-		return res
-	}
-	var blockSel *sat.Selector // one selector guards every blocking clause of this cell
-loop:
-	for len(res.Witnesses) < n {
-		switch se.s.Solve(acts...) {
-		case sat.Sat:
-			// Model length is capped at nv+1 by SetModelBound, so
-			// selector variables never leak into witnesses.
-			m := se.s.Model()
+	} else if n > 0 {
+		// One selector guards every blocking clause of the cell; it is
+		// assumed from the start so that the solver can attach each
+		// witness's blocking clause mid-search and carry on from a
+		// backjump.
+		blockSel := se.s.NewClauseSelector()
+		sels = append(sels, blockSel)
+		acts = append(acts, blockSel.Lit())
+		st := se.s.EnumerateModels(acts, blockSel, se.vars, func(m cnf.Assignment) bool {
+			// Model length is capped at nv+1 by SetModelBound, so selector
+			// variables never leak into witnesses.
 			res.Witnesses = append(res.Witnesses, m)
-			se.blockBuf = se.blockBuf[:0]
-			for _, v := range se.vars {
-				se.blockBuf = append(se.blockBuf, cnf.MkLit(v, m.Get(v)))
-			}
-			if blockSel == nil {
-				blockSel = se.s.NewClauseSelector()
-				sels = append(sels, blockSel)
-				acts = append(acts, blockSel.Lit())
-			}
-			se.s.AddClauseToSelector(blockSel, se.blockBuf)
-		case sat.Unsat:
-			res.Exhausted = true
-			break loop
-		default:
-			res.BudgetExceeded = true
-			break loop
-		}
+			return len(res.Witnesses) < n
+		})
+		res.Exhausted = st == sat.Unsat
+		res.BudgetExceeded = st == sat.Unknown
 	}
 	se.selCount += len(sels)
 	se.retired = sels

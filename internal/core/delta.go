@@ -135,6 +135,8 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 	}
 	cond.est = amc.Count
 	cond.base.SetupRounds = amc.Rounds
+	cond.base.BSATCalls += int64(amc.BSATCalls)
+	cond.base.addSolverStats(amc.Solver)
 
 	// Line 10, conditioned: q′ ← ⌈log₂ C′ + log₂ 1.8 − log₂ pivot⌉.
 	logC := bigLog2(amc.Count)

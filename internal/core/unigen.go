@@ -194,7 +194,7 @@ type Setup struct {
 	q       int              // line 10
 	est     *big.Int         // ApproxMC estimate C
 
-	base Stats // setup-phase stats (SetupRounds, EasyCase, Q, setup BSAT call)
+	base Stats // setup-phase stats: SetupRounds, EasyCase, Q, and the solver work of the easy-case probe and ApproxMC
 
 	// spare is the session the easy-case enumeration ran on; the first
 	// NewSession call adopts it instead of rebuilding a solver. Handed
@@ -250,6 +250,8 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	}
 	su.est = amc.Count
 	su.base.SetupRounds = amc.Rounds
+	su.base.BSATCalls += int64(amc.BSATCalls)
+	su.base.addSolverStats(amc.Solver)
 
 	// Line 10: q ← ⌈log₂ C + log₂ 1.8 − log₂ pivot⌉.
 	logC := bigLog2(amc.Count)

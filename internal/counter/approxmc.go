@@ -56,6 +56,11 @@ type ApproxMCResult struct {
 	// all rounds — a machine-independent work measure (used by the
 	// leap-frogging ablation).
 	TotalXORRows int
+	// BSATCalls and Solver total the solver work of the run: the base
+	// call and every hashed cell probe, failed rounds included. Solver
+	// sums the per-call stats deltas (ArenaBytes: the largest footprint).
+	BSATCalls int
+	Solver    sat.Stats
 }
 
 // pivotAMC computes the cell-size threshold of CP'13:
@@ -121,8 +126,10 @@ func ApproxMCSession(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (
 	if res.BudgetExceeded {
 		return ApproxMCResult{}, fmt.Errorf("counter: BSAT budget exhausted in ApproxMC base call")
 	}
+	out := ApproxMCResult{BSATCalls: 1, Solver: res.Stats}
 	if n <= pivot {
-		return ApproxMCResult{Count: big.NewInt(int64(n)), Exact: true, Rounds: 1}, nil
+		out.Count, out.Exact, out.Rounds = big.NewInt(int64(n)), true, 1
+		return out, nil
 	}
 
 	var estimates []*big.Int
@@ -130,7 +137,7 @@ func ApproxMCSession(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (
 	var xorRows int
 	startAt := 1
 	for round := 0; round < t; round++ {
-		est, lastI, lenSum, rows, err := approxMCCore(sess, vars, pivot, startAt, rng)
+		est, lastI, lenSum, rows, err := approxMCCore(sess, vars, pivot, startAt, rng, &out)
 		if err != nil {
 			return ApproxMCResult{}, err
 		}
@@ -150,7 +157,7 @@ func ApproxMCSession(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (
 	}
 	sort.Slice(estimates, func(i, j int) bool { return estimates[i].Cmp(estimates[j]) < 0 })
 	med := estimates[len(estimates)/2]
-	out := ApproxMCResult{Count: med, Rounds: len(estimates), TotalXORRows: xorRows}
+	out.Count, out.Rounds, out.TotalXORRows = med, len(estimates), xorRows
 	if xorRows > 0 {
 		out.AvgXORLen = float64(xorLenSum) / float64(xorRows)
 	}
@@ -162,8 +169,8 @@ func ApproxMCSession(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (
 // estimate (nil when the loop runs out of hash bits or hits an empty
 // cell), the i at which it succeeded, and the exact XOR row/length
 // totals issued. All cell probes run on the caller's incremental
-// session.
-func approxMCCore(sess *bsat.Session, vars []cnf.Var, pivot, startAt int, rng *randx.RNG) (*big.Int, int, int64, int, error) {
+// session; their solver work is added to work's BSATCalls and Solver.
+func approxMCCore(sess *bsat.Session, vars []cnf.Var, pivot, startAt int, rng *randx.RNG, work *ApproxMCResult) (*big.Int, int, int64, int, error) {
 	var lenSum int64
 	rows := 0
 	if startAt < 1 {
@@ -174,6 +181,8 @@ func approxMCCore(sess *bsat.Session, vars []cnf.Var, pivot, startAt int, rng *r
 		lenSum += int64(h.TotalLen())
 		rows += h.M()
 		cnt, res := sess.Count(pivot+1, h)
+		work.BSATCalls++
+		work.Solver = work.Solver.Add(res.Stats)
 		if res.BudgetExceeded {
 			return nil, i, lenSum, rows, fmt.Errorf("counter: BSAT budget exhausted at %d hash bits", i)
 		}

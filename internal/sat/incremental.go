@@ -426,7 +426,9 @@ func (s *Solver) AddPackedXORRemovable(bits []uint64, rhs bool, cols []int32) *S
 				c := w<<6 | mbits.TrailingZeros64(b)
 				b &= b - 1
 				sc := cols[c]
-				row[sc>>6] |= 1 << uint(sc&63)
+				// Flip, not set: two hash columns over one variable (a
+				// repeated sampling-set entry) cancel, as x ⊕ x = 0.
+				row[sc>>6] ^= 1 << uint(sc&63)
 			}
 		}
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // Solver is a CDCL SAT solver over CNF + XOR clauses. It is not safe for
-// concurrent use. Clauses may be added between Solve calls (the basis of
-// blocking-clause enumeration in BSAT).
+// concurrent use. Clauses may be added between Solve calls, and
+// EnumerateModels adds blocking clauses inside one search (BSAT's
+// witness enumeration).
 type Solver struct {
 	cfg Config
 
@@ -69,6 +70,13 @@ type Solver struct {
 	trail    []cnf.Lit
 	trailLim []int
 	qhead    int
+
+	// unassigned counts non-selector variables without a value. search
+	// reports Sat when it reaches zero, so a full assignment is detected
+	// in O(1) instead of by draining the decision heaps. Maintained only
+	// by growTo, uncheckedEnqueue and cancelUntil — the sole writers of
+	// assigns.
+	unassigned int
 
 	order    *varHeap
 	priOrder *varHeap // priority variables, branched before `order`
@@ -277,6 +285,7 @@ func (s *Solver) growTo(n int) {
 			s.isSelector[v] = s.allocSelKind
 			continue
 		}
+		s.unassigned++
 		s.insertOrder(cnf.Var(v))
 	}
 }
@@ -672,6 +681,9 @@ func (s *Solver) uncheckedEnqueue(l cnf.Lit, from reason) {
 	s.assigns[v] = boolToLbool(!l.Neg())
 	s.level[v] = s.decisionLevel()
 	s.reasons[v] = from
+	if s.isSelector[v] == selNone {
+		s.unassigned--
+	}
 	if c := s.xcolOf[v]; c >= 0 {
 		// Mirror the assignment into the packed XOR masks. Level-0
 		// assignments are permanent for the solver's lifetime, so they
@@ -701,6 +713,9 @@ func (s *Solver) cancelUntil(lvl int) {
 			s.xAssigned[c>>6] &^= 1 << uint(c&63)
 			s.xTrue[c>>6] &^= 1 << uint(c&63)
 		}
+		if s.isSelector[v] == selNone {
+			s.unassigned++
+		}
 		s.insertOrder(v)
 	}
 	s.qhead = s.trailLim[lvl]
@@ -724,6 +739,40 @@ func (s *Solver) interrupted() bool {
 
 // Solve searches for a model of the clauses under the given assumptions.
 func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
+	return s.solveLoop(assumptions, nil)
+}
+
+// EnumerateModels finds models of the clauses under assumptions inside
+// one CDCL search. Each model is handed to onModel; while onModel
+// returns true, the model's blocking clause over vars is attached under
+// sel and search continues from a backjump (see blockModel) instead of
+// restarting from level 0. sel must be an unreleased clause selector
+// whose activation literal is among the assumptions. The model slice
+// belongs to onModel: the solver never writes to it again.
+//
+// The result is Sat when onModel stopped the enumeration, Unsat when
+// no further model exists, and Unknown when a budget ran out or the
+// interrupt was raised. Budgets apply per model search: the conflict
+// and propagation limits restart after every model, exactly as if each
+// model had been found by its own Solve call.
+func (s *Solver) EnumerateModels(assumptions []cnf.Lit, sel *Selector, vars []cnf.Var, onModel func(cnf.Assignment) bool) Status {
+	if sel.released || sel.regIdx < 0 || !slices.Contains(assumptions, sel.act) {
+		panic("sat: EnumerateModels needs an unreleased, assumed clause selector")
+	}
+	return s.solveLoop(assumptions, func() bool {
+		if !onModel(s.model) {
+			return false
+		}
+		s.blockModel(sel, vars)
+		return true
+	})
+}
+
+// solveLoop is the restart, budget and model-extraction loop shared by
+// Solve and EnumerateModels. When search finds a model, onModel (if
+// non-nil) may block it and backjump; a true return continues the
+// search with fresh budgets and a fresh restart sequence.
+func (s *Solver) solveLoop(assumptions []cnf.Lit, onModel func() bool) Status {
 	if !s.ok || s.brokenL0 {
 		return Unsat
 	}
@@ -734,40 +783,25 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	for _, a := range assumptions {
 		s.growTo(int(a.Var()))
 	}
-	confLimit := int64(-1)
-	if s.cfg.MaxConflicts > 0 {
-		confLimit = s.stats.Conflicts + s.cfg.MaxConflicts
-	}
-	propLimit := int64(-1)
-	if s.cfg.MaxPropagations > 0 {
-		propLimit = s.stats.Propagations + s.cfg.MaxPropagations
-	}
+	confLimit, propLimit := s.budgetLimits()
 	restartN := 0
 	for {
 		n := luby(2.0, restartN) * 100
 		restartN++
 		st := s.search(int64(n), confLimit, propLimit, assumptions)
-		if st != Unknown {
-			if st == Sat {
-				nv := s.numVars
-				if s.modelBound > 0 && s.modelBound < nv {
-					// Incremental sessions accumulate selector variables
-					// well past the formula's own; keep model extraction
-					// O(|formula|), not O(lifetime selectors).
-					nv = s.modelBound
+		if st == Sat {
+			s.extractModel()
+			if onModel != nil && onModel() {
+				if s.interrupted() {
+					s.cancelUntil(0)
+					return Unknown
 				}
-				s.model = make(cnf.Assignment, nv+1)
-				for v := 1; v <= nv; v++ {
-					s.model[v] = s.assigns[v] == lTrue
-				}
-				if s.cfg.RephaseEvery > 0 {
-					// A full model is the best target phase there is.
-					for v := 1; v <= s.numVars; v++ {
-						s.targetPhase[v] = s.assigns[v] == lTrue
-					}
-					s.bestTrail = len(s.trail)
-				}
+				confLimit, propLimit = s.budgetLimits()
+				restartN = 0
+				continue
 			}
+		}
+		if st != Unknown {
 			s.cancelUntil(0)
 			return st
 		}
@@ -788,6 +822,93 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		// CollectGarbage to keep the store bounded.
 		s.maybeCompact()
 	}
+}
+
+// budgetLimits returns the cumulative conflict and propagation totals
+// at which the current model search runs out of budget (-1: unlimited).
+func (s *Solver) budgetLimits() (confLimit, propLimit int64) {
+	confLimit, propLimit = -1, -1
+	if s.cfg.MaxConflicts > 0 {
+		confLimit = s.stats.Conflicts + s.cfg.MaxConflicts
+	}
+	if s.cfg.MaxPropagations > 0 {
+		propLimit = s.stats.Propagations + s.cfg.MaxPropagations
+	}
+	return confLimit, propLimit
+}
+
+// extractModel copies the current full assignment into a freshly
+// allocated s.model.
+func (s *Solver) extractModel() {
+	nv := s.numVars
+	if s.modelBound > 0 && s.modelBound < nv {
+		// Incremental sessions accumulate selector variables well past
+		// the formula's own; keep model extraction O(|formula|), not
+		// O(lifetime selectors).
+		nv = s.modelBound
+	}
+	s.model = make(cnf.Assignment, nv+1)
+	for v := 1; v <= nv; v++ {
+		s.model[v] = s.assigns[v] == lTrue
+	}
+	if s.cfg.RephaseEvery > 0 {
+		// A full model is the best target phase there is.
+		for v := 1; v <= s.numVars; v++ {
+			s.targetPhase[v] = s.assigns[v] == lTrue
+		}
+		s.bestTrail = len(s.trail)
+	}
+}
+
+// blockModel attaches the blocking clause of the current model —
+// ¬sel ∨ the negation of every vars literal — and backjumps so that
+// search can continue. Every literal of the clause is false, so it acts
+// like a learned conflict clause: with a unique literal at the highest
+// level, undo to the second-highest level and assert that literal; when
+// two literals share the highest level, undo to one level below it,
+// where the clause has two unassigned literals to watch. Literals fixed
+// at level 0 are dropped, as AddClauseToSelector does; if only the
+// selector literal remains, it is asserted at level 0 and the cell is
+// exhausted.
+func (s *Solver) blockModel(sel *Selector, vars []cnf.Var) {
+	lits := s.analyzeLearnt[:0] // analysis scratch: free between conflicts
+	for _, v := range vars {
+		if s.level[v] == 0 || s.seen[v] != 0 {
+			continue // fixed forever, or a duplicate sampling variable
+		}
+		s.seen[v] = 1
+		lits = append(lits, cnf.MkLit(v, s.assigns[v] == lTrue))
+	}
+	for _, l := range lits {
+		s.seen[l.Var()] = 0
+	}
+	lits = append(lits, sel.act.Not())
+	s.analyzeLearnt = lits[:0]
+	if len(lits) == 1 {
+		s.cancelUntil(0)
+		s.uncheckedEnqueue(lits[0], reason{})
+		return
+	}
+	// Move the highest-level literal to position 0, the next to 1.
+	for k := 0; k < 2; k++ {
+		best := k
+		for i := k + 1; i < len(lits); i++ {
+			if s.level[lits[i].Var()] > s.level[lits[best].Var()] {
+				best = i
+			}
+		}
+		lits[k], lits[best] = lits[best], lits[k]
+	}
+	top, second := s.level[lits[0].Var()], s.level[lits[1].Var()]
+	cr := s.ca.alloc(lits, false, 0, 0)
+	sel.cls = append(sel.cls, cr)
+	s.attach(cr)
+	if top == second {
+		s.cancelUntil(top - 1)
+		return
+	}
+	s.cancelUntil(second)
+	s.uncheckedEnqueue(lits[0], reason{tag: reasonClause, ref: cr})
 }
 
 // search runs up to nConflicts conflicts (or until confLimit/propLimit
@@ -869,10 +990,10 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 			break
 		}
 		if next == 0 {
-			next = s.pickBranchLit()
-			if next == 0 {
-				return Sat // all variables assigned
+			if s.unassigned == 0 {
+				return Sat // every non-selector variable assigned
 			}
+			next = s.pickBranchLit()
 		}
 		s.stats.Decisions++
 		// BSAT enumeration under priority branching is nearly
@@ -886,6 +1007,8 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 	}
 }
 
+// pickBranchLit pops the most active unassigned variable, priority
+// variables first, and returns it with its decision polarity.
 func (s *Solver) pickBranchLit() cnf.Lit {
 	for _, h := range [2]*varHeap{s.priOrder, s.order} {
 		for !h.empty() {
@@ -908,7 +1031,9 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 			return cnf.MkLit(v, !pol)
 		}
 	}
-	return 0
+	// Every unassigned non-selector variable is in a heap; search only
+	// calls here while the unassigned count is positive.
+	panic("sat: decision heaps exhausted with variables unassigned")
 }
 
 func (s *Solver) recordLearnt(learnt []cnf.Lit, lbd int) {

@@ -146,6 +146,28 @@ type Stats struct {
 	ChronoBacktracks int64 // backjumps converted to chronological backtracks
 }
 
+// Add returns the sum of two stats values: counters add and the
+// ArenaBytes gauge takes the larger footprint.
+func (st Stats) Add(o Stats) Stats {
+	st.Decisions += o.Decisions
+	st.Propagations += o.Propagations
+	st.Conflicts += o.Conflicts
+	st.Restarts += o.Restarts
+	st.Learned += o.Learned
+	st.RemovedDB += o.RemovedDB
+	st.XORProps += o.XORProps
+	st.GaussUnits += o.GaussUnits
+	st.Compactions += o.Compactions
+	st.ArenaBytes = max(st.ArenaBytes, o.ArenaBytes)
+	st.VivifiedLits += o.VivifiedLits
+	st.SubsumedLearnts += o.SubsumedLearnts
+	st.ProbedLits += o.ProbedLits
+	st.FailedLits += o.FailedLits
+	st.Rephases += o.Rephases
+	st.ChronoBacktracks += o.ChronoBacktracks
+	return st
+}
+
 type lbool int8
 
 const (
