@@ -31,18 +31,30 @@ var pinnedStreams = map[string]string{
 	"Case121/ind":       "cfe2392d15b6efc4afa240d28acf565d5367d7b517033ab732ffa1311be8fd79",
 	"Case121/fullsup":   "2dff699214f3336670443f24145d209119afb31d19abb52c3070ea1365f18ac2",
 	"Case121/ind/delta": "8b609b36a6b6d7648c514eda54161e69a2eeafa1e16444790d96429c944169d7",
+	"LLReverse/ind":     "8350a1b81a3f7c28f8b2c76c07259ddab0f26994bc84b10764bedc010eb37b21",
+	"Case121/halfind":   "195c5626358f5fe3ac58f3b6da0ca834bf553766dbad572ed47f9178d767f700",
 }
 
-// pinInstance generates a benchgen small-scale instance, optionally with
-// its "c ind" sampling set stripped (full-support hashing).
-func pinInstance(t *testing.T, name string, ind bool) *Formula {
+// Sampling-set modes of a pinned instance.
+const (
+	pinInd     = "ind"     // the generator's "c ind" independent support
+	pinFullsup = "fullsup" // "c ind" stripped: full-support hashing
+	pinHalfind = "halfind" // the first half of "c ind": a projection that is not an independent support
+)
+
+// pinInstance generates a benchgen small-scale instance with its
+// sampling set in the given mode.
+func pinInstance(t *testing.T, name, mode string) *Formula {
 	t.Helper()
 	inst, err := benchgen.Generate(name, benchgen.ScaleSmall, pinGenSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ind {
+	switch mode {
+	case pinFullsup:
 		inst.F.SamplingSet = nil
+	case pinHalfind:
+		inst.F.SamplingSet = inst.F.SamplingSet[:len(inst.F.SamplingSet)/2]
 	}
 	return inst.F
 }
@@ -71,33 +83,35 @@ func checkPinned(t *testing.T, key string, h hash.Hash) {
 }
 
 // TestPinnedWitnessStreams checks the engine (1 and 2 workers) on
-// case110 and Case121 with and without their sampling sets.
+// case110 and Case121 with and without their sampling sets, on
+// LLReverse (the corpus formula with the most native XOR clauses), and
+// on Case121 projected onto half its support, where witnesses are not
+// determined by the sampling variables alone.
 func TestPinnedWitnessStreams(t *testing.T) {
 	if testing.Short() {
-		t.Skip("prepares four formulas twice")
+		t.Skip("prepares six formulas twice")
 	}
-	for _, name := range []string{"case110", "Case121"} {
-		for _, ind := range []bool{true, false} {
-			key := name + "/ind"
-			if !ind {
-				key = name + "/fullsup"
+	for _, pin := range []struct{ name, mode string }{
+		{"case110", pinInd}, {"case110", pinFullsup},
+		{"Case121", pinInd}, {"Case121", pinFullsup},
+		{"LLReverse", pinInd}, {"Case121", pinHalfind},
+	} {
+		key := pin.name + "/" + pin.mode
+		f := pinInstance(t, pin.name, pin.mode)
+		for _, workers := range []int{1, 2} {
+			smp, err := NewSampler(f, Options{
+				Epsilon: 6, Seed: pinSeed, Workers: workers, ApproxMCRounds: pinRounds,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
-			f := pinInstance(t, name, ind)
-			for _, workers := range []int{1, 2} {
-				smp, err := NewSampler(f, Options{
-					Epsilon: 6, Seed: pinSeed, Workers: workers, ApproxMCRounds: pinRounds,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				ws, err := smp.SampleN(pinN)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				h := sha256.New()
-				writeStream(h, f, ws)
-				checkPinned(t, key, h)
+			ws, err := smp.SampleN(pinN)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
+			h := sha256.New()
+			writeStream(h, f, ws)
+			checkPinned(t, key, h)
 		}
 	}
 }
@@ -108,7 +122,7 @@ func TestPinnedDeltaStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("prepares a formula and a conditioned setup")
 	}
-	f := pinInstance(t, "Case121", true)
+	f := pinInstance(t, "Case121", pinInd)
 	svc, err := NewService(ServiceOptions{Epsilon: 6, ApproxMCRounds: pinRounds, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
