@@ -14,10 +14,15 @@
 // Session is the incremental engine behind a whole sampling or counting
 // run: the base formula is loaded once, each cell's hash XOR rows are
 // installed as removable constraints, and learned clauses survive from
-// one BSAT call to the next. Within a cell, a Session finds all
-// witnesses in one CDCL search (sat.Solver.EnumerateModels): each
-// model's blocking clause is attached mid-search under the cell's
-// clause selector, and the solver backjumps and carries on instead of
+// one BSAT call to the next. The rows are installed in reduced
+// row-echelon form, so implications that follow from a combination of
+// drawn rows propagate instead of being found by conflicts, and an
+// inconsistent hash ends the call before any search. Within a cell, a
+// Session finds all witnesses in one CDCL search
+// (sat.Solver.EnumerateModels): each model's blocking clause — over the
+// search's decisions when they are all sampling variables, else over
+// the sampling set — is attached mid-search under the cell's clause
+// selector, and the solver backjumps and carries on instead of
 // restarting from level 0 and re-propagating the whole trail per
 // witness. Which witnesses a cell yields does not depend on the order
 // they are found in: an exhausted cell is its full projected witness
@@ -31,6 +36,7 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/faultpoint"
+	"unigen/internal/gf2"
 	"unigen/internal/hashfam"
 	"unigen/internal/sat"
 )
@@ -88,6 +94,9 @@ type Session struct {
 	colMap   []int32         // hash column → solver XOR column (nil: identity)
 	retired  []*sat.Selector // constraints of the previous call, released lazily
 	assumps  []cnf.Lit       // scratch: activation literals for the current call
+	rows     []gf2.Row       // scratch: the current hash's rows, reduced (see echelon)
+	rowWords []uint64        // scratch: backing words of rows
+	rowVars  []cnf.Var       // scratch: one reduced row's variables (scalar engine)
 	base     []cnf.Lit       // standing assumption literals (delta requests)
 	selCount int             // selectors allocated since the last (re)build
 	calls    int             // Enumerate calls served (inprocessing cadence)
@@ -204,12 +213,15 @@ func (se *Session) interruptRaised() bool {
 // assumptions), pairwise distinct on the sampling set. The previous
 // call's hash rows and blocking clauses are released first, so
 // consecutive calls reuse all accumulated solver state; h may be nil
-// (enumeration of f itself). The hash rows are installed as removable
-// XOR constraints and the cell is then enumerated inside one CDCL
-// search: every witness's blocking clause joins the cell's clause
-// selector mid-search, followed by a backjump. Conflict and
-// propagation budgets apply to each witness search separately, so
-// BudgetExceeded means one witness search ran out, not the cell.
+// (enumeration of f itself). The hash rows are reduced to row-echelon
+// form on a session-owned copy (h is not modified): a 0 = 1 row returns
+// an exhausted empty cell without a solver call, 0 = 0 rows are
+// skipped, and the rest are installed as removable XOR constraints.
+// The cell is then enumerated inside one CDCL search: every witness's
+// blocking clause joins the cell's clause selector mid-search, followed
+// by a backjump. Conflict and propagation budgets apply to each witness
+// search separately, so BudgetExceeded means one witness search ran
+// out, not the cell.
 func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 	// Chaos injection points (inert unless a test arms them). A stalled
 	// call that the interrupt cuts short reports budget exhaustion — the
@@ -253,24 +265,20 @@ func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 				cols = se.s.XORColumns(h.Vars)
 			}
 		}
-		for i := range h.Rows {
-			r := &h.Rows[i]
+		rows, ok := se.echelon(h)
+		emptyCell = !ok // a 0 = 1 row: the cell is empty, no solver call
+		for i := 0; ok && i < len(rows); i++ {
+			r := &rows[i]
 			if r.Empty() {
-				// A drawn row with no variables: 0 = 1 proves the cell
-				// empty outright (fail the cell fast, no solver call);
-				// 0 = 0 constrains nothing and is skipped. The row still
-				// counts in the caller's XOR stats — it was issued.
-				if r.RHS {
-					emptyCell = true
-					break
-				}
-				continue
+				continue // 0 = 0: a row dependent on the others
 			}
 			var sel *sat.Selector
 			if se.cfg.ScalarXOR {
-				sel = se.s.AddXORRemovable(h.RowVars(i), r.RHS)
+				se.rowVars = se.rowVars[:0]
+				r.ForEachSet(func(c int) { se.rowVars = append(se.rowVars, h.Vars[c]) })
+				sel = se.s.AddXORRemovable(se.rowVars, r.RHS)
 			} else {
-				// Packed install: the drawn bits flow into the solver
+				// Packed install: the reduced bits flow into the solver
 				// through the column map, no []cnf.Var ever materialized.
 				sel = se.s.AddPackedXORRemovable(r.Bits, r.RHS, cols)
 			}
@@ -308,6 +316,27 @@ func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 	se.assumps = acts
 	res.Stats = statsDelta(se.s.Stats(), before)
 	return res
+}
+
+// echelon copies h's rows into session-owned scratch and reduces the
+// copy to reduced row-echelon form over h's column space; h itself is
+// not modified. Row operations keep the affine subspace, so the reduced
+// system has exactly the cell's solutions, while each row now holds a
+// pivot variable no other row mentions: implications that the
+// two-watched-variable XOR scheme could only find through a conflict
+// between drawn rows become single-row propagations. It reports false
+// when the rows are inconsistent (a 0 = 1 row arose).
+func (se *Session) echelon(h *hashfam.Hash) ([]gf2.Row, bool) {
+	w := gf2.Words(len(h.Vars))
+	se.rowWords = slices.Grow(se.rowWords[:0], len(h.Rows)*w)[:len(h.Rows)*w]
+	clear(se.rowWords)
+	se.rows = se.rows[:0]
+	for i, r := range h.Rows {
+		b := se.rowWords[i*w : (i+1)*w : (i+1)*w]
+		copy(b, r.Bits)
+		se.rows = append(se.rows, gf2.Row{Bits: b, RHS: r.RHS})
+	}
+	return se.rows, !gf2.GaussJordan(se.rows, len(h.Vars))
 }
 
 // Count returns min(|R_{F∧h}↓S|, n) via the session, plus the full result.

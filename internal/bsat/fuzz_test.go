@@ -62,6 +62,20 @@ func FuzzSessionEnumerate(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 2, 2, 1, 0, 0, 0, 1, 0, 0, 2, 0, 1})
 	f.Add([]byte{7, 9, 1, 3, 3, 2, 2, 1, 1, 0, 5, 4, 3, 2, 1, 0, 2, 3, 1, 1, 4, 0, 2, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 0, 1, 1})
+	// Hash rows the session reduces before installing: a third row that
+	// is the sum of the first two, then two equal rows with opposite
+	// right-hand sides (an empty cell), under a standing assumption.
+	f.Add([]byte{3, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1,
+		3, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 9, 0,
+		2, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 2, 0, 4, 0})
+	// The same on a projected sampling set with a native XOR and the
+	// scalar engine: a dependent triple, a contradicting duplicate over
+	// every variable, and a duplicated row under an assumption and a
+	// cut-off of one.
+	f.Add([]byte{5, 2, 2, 0, 0, 2, 1, 4, 0, 1, 1, 1, 5, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 1, 2,
+		3, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 0, 9, 0,
+		3, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 2, 0,
+		2, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bs := &byteSource{b: data}
 		fm := fuzzFormula(bs)

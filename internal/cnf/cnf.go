@@ -6,7 +6,7 @@ package cnf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Var is a propositional variable, numbered from 1 as in DIMACS.
@@ -136,7 +136,7 @@ func (f *Formula) AddXOR(vars []Var, rhs bool) {
 func NormalizeClause(c Clause) (Clause, bool) {
 	out := make(Clause, len(c))
 	copy(out, c)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 0
 	for i, l := range out {
 		if i > 0 && l == out[i-1] {
@@ -156,7 +156,7 @@ func NormalizeClause(c Clause) (Clause, bool) {
 func NormalizeXOR(vars []Var, rhs bool) ([]Var, bool) {
 	vs := make([]Var, len(vars))
 	copy(vs, vars)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	slices.Sort(vs)
 	out := vs[:0]
 	for i := 0; i < len(vs); {
 		j := i
@@ -192,7 +192,7 @@ func (f *Formula) Clone() *Formula {
 func (f *Formula) SamplingVars() []Var {
 	if f.SamplingSet != nil {
 		out := append([]Var(nil), f.SamplingSet...)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 		return out
 	}
 	out := make([]Var, f.NumVars)

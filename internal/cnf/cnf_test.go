@@ -1,6 +1,9 @@
 package cnf
 
 import (
+	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,5 +244,65 @@ func TestWriteDIMACSIndChunking(t *testing.T) {
 	}
 	if indLines != 3 {
 		t.Fatalf("ind lines = %d, want 3", indLines)
+	}
+}
+
+// longLine returns "<prefix>1 2 3 … k 0" with k chosen so the line is
+// longer than n bytes.
+func longLine(prefix string, n int) (string, int) {
+	var b strings.Builder
+	b.WriteString(prefix)
+	k := 0
+	for b.Len() <= n {
+		k++
+		b.WriteString(strconv.Itoa(k))
+		b.WriteByte(' ')
+	}
+	b.WriteString("0\n")
+	return b.String(), k
+}
+
+// TestParseLongLines: clause and "c ind" lines longer than 1 MiB parse;
+// the parser's buffer grows past its small initial size on demand.
+func TestParseLongLines(t *testing.T) {
+	ind, k := longLine("c ind ", 1<<20+1)
+	clause, _ := longLine("", 1<<20+1)
+	f, err := ParseDIMACSString(ind + clause)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.SamplingSet) != k || len(f.Clauses) != 1 || len(f.Clauses[0]) != k {
+		t.Fatalf("sampling set %d, %d clauses, want %d vars each", len(f.SamplingSet), len(f.Clauses), k)
+	}
+}
+
+// TestParseLineOverCap: a line longer than maxDIMACSLine is an error.
+func TestParseLineOverCap(t *testing.T) {
+	src := "c " + strings.Repeat("x", maxDIMACSLine) + "\np cnf 1 1\n1 0\n"
+	if _, err := ParseDIMACSString(src); err == nil {
+		t.Fatal("no error for a line over the cap")
+	}
+}
+
+// TestParseAllocation bounds the bytes one parse of a 200-clause formula
+// allocates: the line buffer must not dwarf the formula itself.
+func TestParseAllocation(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("c ind 1 2 3 4 5 6 7 8 0\np cnf 60 200\n")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&b, "%d -%d %d 0\n", 1+i%60, 1+(i*7)%60, 1+(i*13)%60)
+	}
+	src := b.String()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseDIMACSString(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("parse allocated %d bytes, want under %d", per, 64<<10)
 	}
 }

@@ -8,6 +8,9 @@ import (
 	"strings"
 )
 
+// maxDIMACSLine is the longest line ParseDIMACS accepts, in bytes.
+const maxDIMACSLine = 1 << 24
+
 // ParseDIMACS reads a formula in DIMACS CNF format. Two extensions used
 // by the UniGen/ApproxMC tool family are supported:
 //
@@ -16,12 +19,18 @@ import (
 //   - clause lines beginning with "x" declare XOR clauses in the
 //     CryptoMiniSAT convention: "x1 2 -3 0" means v1 ⊕ v2 ⊕ v3 = 0
 //     (a leading negative literal flips the right-hand side).
+//
+// Lines may be up to 16 MiB long; a longer line is an error.
 func ParseDIMACS(r io.Reader) (*Formula, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Start from the scanner's small default buffer, which doubles only
+	// for long lines: every request to the service parses its formula,
+	// so a large up-front buffer would dominate the parse's allocation.
+	sc.Buffer(nil, maxDIMACSLine)
 	f := &Formula{}
 	declared := 0
 	lineNo := 0
+	var lits []int // clause scratch, reused: AddClause copies it
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -92,7 +101,7 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 			f.AddXOR(vars, rhs)
 		default:
 			toks := strings.Fields(line)
-			var lits []int
+			lits = lits[:0]
 			done := false
 			for _, tok := range toks {
 				x, err := strconv.Atoi(tok)

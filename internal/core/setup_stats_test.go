@@ -12,8 +12,8 @@ import (
 // TestSetupStatsIncludeApproxMC checks that a hashed prepare's setup
 // stats carry ApproxMC's solver work — its base call and every hashed
 // cell probe — on top of the easy-case probe. Both halves are replayed
-// on fresh sessions with the same RNG, so the expected totals are
-// exact.
+// in order on one fresh session with the same RNG, as NewSetup runs
+// them, so the expected totals are exact.
 func TestSetupStatsIncludeApproxMC(t *testing.T) {
 	f := hardFormula()
 	opts := Options{Epsilon: 6, ApproxMCRounds: 15}
@@ -29,9 +29,9 @@ func TestSetupStatsIncludeApproxMC(t *testing.T) {
 		t.Fatalf("setup BSATCalls = %d after a hashed prepare, want > 1", got.BSATCalls)
 	}
 
-	probe := bsat.NewSession(f, bsat.Options{SamplingSet: f.SamplingVars()}).
-		Enumerate(su.KappaPivot().HiThresh+1, nil)
-	amc, err := counter.ApproxMC(f, randx.New(4), counter.ApproxMCOptions{
+	sess := bsat.NewSession(f, bsat.Options{SamplingSet: f.SamplingVars()})
+	probe := sess.Enumerate(su.KappaPivot().HiThresh+1, nil)
+	amc, err := counter.ApproxMCSession(sess, randx.New(4), counter.ApproxMCOptions{
 		Epsilon: 0.8, Delta: 0.2, SamplingSet: f.SamplingVars(), MaxHashRounds: opts.ApproxMCRounds,
 	})
 	if err != nil {

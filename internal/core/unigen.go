@@ -237,12 +237,14 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 		return su, nil
 	}
 
-	// Line 9: C ← ApproxMC(F, 0.8, 0.8-confidence).
-	amc, err := counter.ApproxMC(f, rng, counter.ApproxMCOptions{
+	// Line 9: C ← ApproxMC(F, 0.8, 0.8-confidence), on the session the
+	// easy-case probe just ran on: one solver per cold prepare. Every
+	// cell probe is an exact bounded enumeration, so the estimate (and
+	// q) does not depend on the session's accumulated solver state.
+	amc, err := counter.ApproxMCSession(su.spare, rng, counter.ApproxMCOptions{
 		Epsilon:       0.8,
 		Delta:         0.2,
 		SamplingSet:   s,
-		Solver:        opts.Solver,
 		MaxHashRounds: opts.ApproxMCRounds,
 	})
 	if err != nil {

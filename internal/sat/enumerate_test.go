@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"testing"
 
 	"unigen/internal/cnf"
@@ -122,8 +123,10 @@ func decide(t *testing.T, s *Solver, l cnf.Lit) {
 	}
 }
 
-// TestBlockModelUniqueTop: the top literal is alone on its level, so
-// blockModel undoes to the second-highest level and asserts it there.
+// TestBlockModelUniqueTop: on the sampling-set fallback (no assumption
+// levels, so the selector's own level counts as a decision outside the
+// sampling set), the top literal is alone on its level, so blockModel
+// undoes to the second-highest level and asserts it there.
 func TestBlockModelUniqueTop(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(-1, 2) // 1 → 2
@@ -132,7 +135,7 @@ func TestBlockModelUniqueTop(t *testing.T) {
 	decide(t, s, sel.Lit()) // level 1
 	decide(t, s, cnf.MkLit(1, false))
 	decide(t, s, cnf.MkLit(3, false)) // level 3: only var 3
-	s.blockModel(sel, allVars(3))
+	s.blockModel(sel, allVars(3), 0)
 	checkUnassigned(t, s, "after blockModel")
 	if s.decisionLevel() != 2 {
 		t.Fatalf("backjumped to level %d, want 2", s.decisionLevel())
@@ -145,8 +148,9 @@ func TestBlockModelUniqueTop(t *testing.T) {
 	}
 }
 
-// TestBlockModelTie: two literals share the top level, so blockModel
-// undoes to one level below it and leaves both unassigned and watched.
+// TestBlockModelTie: on the sampling-set fallback, two literals share
+// the top level, so blockModel undoes to one level below it and leaves
+// both unassigned and watched.
 func TestBlockModelTie(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(-1, 2) // 1 → 2: both land on the decision's level
@@ -155,7 +159,7 @@ func TestBlockModelTie(t *testing.T) {
 	decide(t, s, sel.Lit())
 	decide(t, s, cnf.MkLit(3, false))
 	decide(t, s, cnf.MkLit(1, false)) // level 3: vars 1 and 2
-	s.blockModel(sel, allVars(3))
+	s.blockModel(sel, allVars(3), 0)
 	checkUnassigned(t, s, "after blockModel")
 	if s.decisionLevel() != 2 {
 		t.Fatalf("backjumped to level %d, want 2", s.decisionLevel())
@@ -178,6 +182,173 @@ func TestBlockModelTie(t *testing.T) {
 	})
 	if st != Unsat || len(got) != 5 || got["111"] {
 		t.Fatalf("continued enumeration: %v with %d models %v, want Unsat and the other 5", st, len(got), got)
+	}
+}
+
+// clauseLits returns the literals of arena clause cr.
+func clauseLits(s *Solver, cr CRef) []cnf.Lit {
+	out := make([]cnf.Lit, s.ca.size(cr))
+	for k := range out {
+		out[k] = s.ca.lit(cr, k)
+	}
+	return out
+}
+
+// sameLits reports whether a and b hold the same literals in any order.
+func sameLits(a, b []cnf.Lit) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
+// TestBlockModelDecisionClause: every decision above the assumption
+// level is on a sampling variable, so the blocking clause is ¬sel plus
+// the negated decisions — not the implied literal 2 — and the backjump
+// asserts the top decision's negation without a conflict.
+func TestBlockModelDecisionClause(t *testing.T) {
+	f := cnf.New(3)
+	f.AddClause(-1, 2) // 1 → 2: implied on the decision's level
+	s := New(f, Config{})
+	sel := s.NewClauseSelector()
+	decide(t, s, sel.Lit()) // level 1: the assumption
+	decide(t, s, cnf.MkLit(3, false))
+	decide(t, s, cnf.MkLit(1, false)) // level 3: vars 1 and 2
+	conflicts := s.stats.Conflicts
+	s.blockModel(sel, allVars(3), 1)
+	checkUnassigned(t, s, "after blockModel")
+	want := []cnf.Lit{sel.Lit().Not(), cnf.MkLit(1, true), cnf.MkLit(3, true)}
+	if len(sel.cls) != 1 || !sameLits(clauseLits(s, sel.cls[0]), want) {
+		t.Fatalf("blocking clause %v, want %v", clauseLits(s, sel.cls[0]), want)
+	}
+	if s.decisionLevel() != 2 {
+		t.Fatalf("backjumped to level %d, want 2", s.decisionLevel())
+	}
+	if s.value(cnf.MkLit(1, true)) != lTrue || s.level[1] != 2 || s.reasons[1].tag != reasonClause {
+		t.Fatal("¬1 not asserted at level 2 by the blocking clause")
+	}
+	if !s.propagate().none() || s.stats.Conflicts != conflicts {
+		t.Fatal("the asserting backjump led to a conflict")
+	}
+	got := map[string]bool{}
+	st := s.EnumerateModels([]cnf.Lit{sel.Lit()}, sel, allVars(3), func(m cnf.Assignment) bool {
+		got[m.Project(allVars(3))] = true
+		return true
+	})
+	if st != Unsat || len(got) != 5 || got["111"] {
+		t.Fatalf("continued enumeration: %v with %d models %v, want Unsat and the other 5", st, len(got), got)
+	}
+}
+
+// TestBlockModelNonSamplingDecision: a decision on variable 1, outside
+// the sampling set {2, 3}, falls back to the sampling-set clause.
+func TestBlockModelNonSamplingDecision(t *testing.T) {
+	f := cnf.New(3)
+	f.AddClause(-1, 2) // 1 → 2
+	s := New(f, Config{})
+	sel := s.NewClauseSelector()
+	vars := []cnf.Var{2, 3}
+	decide(t, s, sel.Lit())
+	decide(t, s, cnf.MkLit(3, false))
+	decide(t, s, cnf.MkLit(1, false)) // level 3: vars 1 and 2
+	s.blockModel(sel, vars, 1)
+	want := []cnf.Lit{sel.Lit().Not(), cnf.MkLit(2, true), cnf.MkLit(3, true)}
+	if len(sel.cls) != 1 || !sameLits(clauseLits(s, sel.cls[0]), want) {
+		t.Fatalf("blocking clause %v, want the sampling-set clause %v", clauseLits(s, sel.cls[0]), want)
+	}
+	if s.decisionLevel() != 2 || s.value(cnf.MkLit(2, true)) != lTrue {
+		t.Fatal("¬2 not asserted at level 2")
+	}
+}
+
+// TestBlockModelNoDecision: the assumptions alone determine the model,
+// so the decision clause is ¬sel by itself: it is fixed at level 0 and
+// the cell is exhausted.
+func TestBlockModelNoDecision(t *testing.T) {
+	f := cnf.New(3)
+	f.AddClause(-1, 2)
+	f.AddClause(-1, 3)
+	s := New(f, Config{})
+	sel := s.NewClauseSelector()
+	decide(t, s, cnf.MkLit(1, false)) // level 1: a standing assumption
+	decide(t, s, sel.Lit())           // level 2: the selector
+	s.blockModel(sel, allVars(3), 2)
+	if s.decisionLevel() != 0 || len(sel.cls) != 0 {
+		t.Fatalf("level %d with %d stored clauses, want level 0 and none", s.decisionLevel(), len(sel.cls))
+	}
+	if v := sel.Lit().Var(); s.valueVar(v) != lFalse || s.level[v] != 0 {
+		t.Fatal("selector not fixed off at level 0")
+	}
+	s.Release(sel)
+	sel = s.NewClauseSelector()
+	models := 0
+	st := s.EnumerateModels([]cnf.Lit{cnf.MkLit(1, false), sel.Lit()}, sel, allVars(3), func(cnf.Assignment) bool {
+		models++
+		return true
+	})
+	if st != Unsat || models != 1 {
+		t.Fatalf("status %v after %d models, want Unsat after 1", st, models)
+	}
+}
+
+// TestBlockModelBaseAssumptions: standing assumption literals ahead of
+// the selector occupy assumption levels, so their variables stay out of
+// the decision clause even when they are sampling variables.
+func TestBlockModelBaseAssumptions(t *testing.T) {
+	f := cnf.New(3)
+	f.AddClause(-1, 2)
+	s := New(f, Config{})
+	sel := s.NewClauseSelector()
+	base := cnf.MkLit(3, false)
+	decide(t, s, base)      // level 1: delta base literal on a sampling variable
+	decide(t, s, sel.Lit()) // level 2: the selector
+	decide(t, s, cnf.MkLit(1, false))
+	s.blockModel(sel, allVars(3), 2)
+	want := []cnf.Lit{sel.Lit().Not(), cnf.MkLit(1, true)}
+	if len(sel.cls) != 1 || !sameLits(clauseLits(s, sel.cls[0]), want) {
+		t.Fatalf("blocking clause %v, want %v", clauseLits(s, sel.cls[0]), want)
+	}
+	if s.decisionLevel() != 2 || s.value(cnf.MkLit(1, true)) != lTrue {
+		t.Fatal("¬1 not asserted at the selector's level")
+	}
+}
+
+// TestEnumerateModelsUnderAssumptions enumerates random CNF+XOR
+// formulas under random standing assumption literals placed before the
+// selector, and compares against brute force over the formula with
+// those literals as units.
+func TestEnumerateModelsUnderAssumptions(t *testing.T) {
+	rng := randx.New(1301)
+	for iter := 0; iter < 150; iter++ {
+		n := 4 + rng.Intn(8)
+		f := randomXORCNF(rng, n, rng.Intn(2*n), 3, rng.Intn(3))
+		vars := allVars(n)
+		if iter%2 == 1 {
+			vars = vars[:n/2+1]
+		}
+		var base []cnf.Lit
+		g := f.Clone()
+		for k := rng.Intn(3); k > 0; k-- {
+			l := cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Bool())
+			base = append(base, l)
+			g.AddClauseLits(cnf.Clause{l})
+		}
+		want := bruteSet(g, vars)
+		s := New(f, Config{Seed: uint64(iter), ChronoBacktrack: iter % 2})
+		sel := s.NewClauseSelector()
+		got := map[string]bool{}
+		st := s.EnumerateModels(append(base, sel.Lit()), sel, vars, func(m cnf.Assignment) bool {
+			key := m.Project(vars)
+			if got[key] {
+				t.Fatalf("iter %d: model %s enumerated twice", iter, key)
+			}
+			got[key] = true
+			return true
+		})
+		if st != Unsat || !sameModelSets(got, want) {
+			t.Fatalf("iter %d: %v with %d models, brute force has %d", iter, st, len(got), len(want))
+		}
+		checkUnassigned(t, s, "after EnumerateModels")
 	}
 }
 

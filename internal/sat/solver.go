@@ -744,11 +744,12 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 
 // EnumerateModels finds models of the clauses under assumptions inside
 // one CDCL search. Each model is handed to onModel; while onModel
-// returns true, the model's blocking clause over vars is attached under
-// sel and search continues from a backjump (see blockModel) instead of
-// restarting from level 0. sel must be an unreleased clause selector
-// whose activation literal is among the assumptions. The model slice
-// belongs to onModel: the solver never writes to it again.
+// returns true, the model's blocking clause is attached under sel and
+// search continues from a backjump (see blockModel) instead of
+// restarting from level 0. Models are pairwise distinct on vars. sel
+// must be an unreleased clause selector whose activation literal is
+// among the assumptions. The model slice belongs to onModel: the solver
+// never writes to it again.
 //
 // The result is Sat when onModel stopped the enumeration, Unsat when
 // no further model exists, and Unknown when a budget ran out or the
@@ -763,7 +764,7 @@ func (s *Solver) EnumerateModels(assumptions []cnf.Lit, sel *Selector, vars []cn
 		if !onModel(s.model) {
 			return false
 		}
-		s.blockModel(sel, vars)
+		s.blockModel(sel, vars, len(assumptions))
 		return true
 	})
 }
@@ -860,27 +861,57 @@ func (s *Solver) extractModel() {
 	}
 }
 
-// blockModel attaches the blocking clause of the current model —
-// ¬sel ∨ the negation of every vars literal — and backjumps so that
-// search can continue. Every literal of the clause is false, so it acts
-// like a learned conflict clause: with a unique literal at the highest
-// level, undo to the second-highest level and assert that literal; when
-// two literals share the highest level, undo to one level below it,
-// where the clause has two unassigned literals to watch. Literals fixed
-// at level 0 are dropped, as AddClauseToSelector does; if only the
-// selector literal remains, it is asserted at level 0 and the cell is
-// exhausted.
-func (s *Solver) blockModel(sel *Selector, vars []cnf.Var) {
+// blockModel attaches the blocking clause of the current model and
+// backjumps so that search can continue. Levels 1..nAssump belong to
+// the assumptions; every level above them starts with a decision.
+//
+// When every such decision is on a vars variable, the clause is
+// ¬sel ∨ ¬d₁ ∨ … ∨ ¬dₖ over those decisions. Every other trail literal
+// follows from the decisions, the assumptions and the clauses, so the
+// current model is the only one the clause removes; and any later model
+// that agrees with it on vars satisfies every dᵢ, so models stay
+// distinct on vars. The decisions sit on distinct levels, so the
+// backjump always asserts.
+//
+// Otherwise (a decision on a variable outside vars) the clause is ¬sel
+// ∨ the negation of every vars literal. Every literal of the clause is
+// false, so it acts like a learned conflict clause: with a unique
+// literal at the highest level, undo to the second-highest level and
+// assert that literal; when two literals share the highest level, undo
+// to one level below it, where the clause has two unassigned literals
+// to watch. Literals fixed at level 0 are dropped, as
+// AddClauseToSelector does; if only the selector literal remains (on
+// either path), it is asserted at level 0 and the cell is exhausted.
+func (s *Solver) blockModel(sel *Selector, vars []cnf.Var, nAssump int) {
 	lits := s.analyzeLearnt[:0] // analysis scratch: free between conflicts
 	for _, v := range vars {
-		if s.level[v] == 0 || s.seen[v] != 0 {
-			continue // fixed forever, or a duplicate sampling variable
-		}
 		s.seen[v] = 1
-		lits = append(lits, cnf.MkLit(v, s.assigns[v] == lTrue))
 	}
-	for _, l := range lits {
-		s.seen[l.Var()] = 0
+	sampled := true
+	for lvl := nAssump; lvl < s.decisionLevel(); lvl++ {
+		if s.seen[s.trail[s.trailLim[lvl]].Var()] == 0 {
+			sampled = false
+			break
+		}
+	}
+	for _, v := range vars {
+		s.seen[v] = 0
+	}
+	if sampled {
+		for lvl := s.decisionLevel(); lvl > nAssump; lvl-- {
+			lits = append(lits, s.trail[s.trailLim[lvl-1]].Not())
+		}
+	} else {
+		for _, v := range vars {
+			if s.level[v] == 0 || s.seen[v] != 0 {
+				continue // fixed forever, or a duplicate sampling variable
+			}
+			s.seen[v] = 1
+			lits = append(lits, cnf.MkLit(v, s.assigns[v] == lTrue))
+		}
+		for _, l := range lits {
+			s.seen[l.Var()] = 0
+		}
 	}
 	lits = append(lits, sel.act.Not())
 	s.analyzeLearnt = lits[:0]
