@@ -34,10 +34,6 @@ var fuzzOptionSets = []sat.Config{
 	{},
 	{ScalarXOR: true},
 	{GaussJordan: true},
-	{ChronoBacktrack: 1},
-	{RephaseEvery: 1},
-	{InprocessEvery: 1},
-	{DirtyWindow: true},
 }
 
 // Budget modes of one fuzzed call.

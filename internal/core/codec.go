@@ -24,14 +24,16 @@ import (
 // Frame layout (all integers little-endian):
 //
 //	[0:4]   magic "UGSU"
-//	[4:6]   u16 version (currently 1)
+//	[4:6]   u16 version (currently 2)
 //	[6:10]  u32 payload length
 //	[10:N]  payload (see below)
 //	[N:N+4] u32 CRC-32C (Castagnoli) over bytes [0:N]
 //
 // The frame must be exact: trailing bytes after the CRC are rejected,
 // which is what makes Encode∘Decode a fixpoint on every accepted input
-// (the property FuzzDecodeSetup pins).
+// (the property FuzzDecodeSetup pins). Any other version is skew:
+// version 1 frames carried six more base-stats counters, for solver
+// options that no longer exist, and are rejected like a corrupt entry.
 //
 // Payload layout:
 //
@@ -43,10 +45,10 @@ import (
 //	u8 easySet (0|1)
 //	u32 easyCount + easyCount × ⌈NumVars/8⌉ bytes   bit-packed witnesses
 //	    (bit v−1 of a row is variable v; row order is the canonical
-//	    sortWitnesses order, which SampleRound's index pick depends on)
+//	    sortWitnesses order, which SampleRoundSpan's index pick depends on)
 //	u32 q
 //	u8 estTag (0|1) + if 1: u32 len + big-endian magnitude (big.Int.Bytes)
-//	base stats: 17 × u64 (two's-complement int64, declaration order),
+//	base stats: 11 × u64 (two's-complement int64, declaration order),
 //	    u32 SetupRounds, u8 EasyCase, u32 Q
 //
 // Decode validates structure, never panics on arbitrary input, and
@@ -59,7 +61,7 @@ import (
 
 const (
 	setupMagic   = "UGSU"
-	setupVersion = 1
+	setupVersion = 2
 	setupHdrLen  = 4 + 2 + 4 // magic + version + payload length
 )
 
@@ -166,8 +168,7 @@ func statsCounters(st *Stats) []*int64 {
 	return []*int64{
 		&st.Samples, &st.Failures, &st.BSATCalls, &st.XORRows, &st.XORLenSum,
 		&st.Conflicts, &st.Propagations, &st.Learned, &st.Removed, &st.Compactions,
-		&st.ArenaBytes, &st.VivifiedLits, &st.SubsumedLearnts, &st.ProbedLits,
-		&st.FailedLits, &st.Rephases, &st.ChronoBacktracks,
+		&st.ArenaBytes,
 	}
 }
 

@@ -60,13 +60,13 @@ func sampleStream(t *testing.T, su *Setup, seed uint64, n int) []string {
 		if i > 100*n {
 			t.Fatalf("no %d samples in %d rounds", n, i)
 		}
-		w, err := su.SampleRound(sess, randx.Stream(seed, uint64(i)), &st)
+		w, err := su.SampleRoundSpan(sess, randx.Stream(seed, uint64(i)), &st, nil)
 		if errors.Is(err, ErrFailed) {
 			out = append(out, "⊥")
 			continue
 		}
 		if err != nil {
-			t.Fatalf("SampleRound: %v", err)
+			t.Fatalf("SampleRoundSpan: %v", err)
 		}
 		out = append(out, w.Project(vars))
 	}
@@ -162,7 +162,7 @@ func TestSetupCodecUnsat(t *testing.T) {
 		t.Fatalf("DecodeSetup: %v", err)
 	}
 	var st Stats
-	if _, err := got.SampleRound(got.NewSession(), randx.New(1), &st); !errors.Is(err, ErrUnsat) {
+	if _, err := got.SampleRoundSpan(got.NewSession(), randx.New(1), &st, nil); !errors.Is(err, ErrUnsat) {
 		t.Fatalf("sampling decoded UNSAT setup: %v, want ErrUnsat", err)
 	}
 }
@@ -204,6 +204,14 @@ func TestSetupCodecRejectsCorruption(t *testing.T) {
 	if err := VerifySetupFrame(skew); !errors.Is(err, ErrCodec) {
 		t.Fatalf("version skew: %v, want ErrCodec", err)
 	}
+	// So is a well-formed frame of the previous version.
+	old := v1Frame(blob)
+	if err := VerifySetupFrame(old); !errors.Is(err, ErrCodec) {
+		t.Fatalf("version 1 frame: %v, want ErrCodec", err)
+	}
+	if _, err := DecodeSetup(old, Options{}); !errors.Is(err, ErrCodec) {
+		t.Fatalf("decoding version 1 frame: %v, want ErrCodec", err)
+	}
 
 	// Epsilon mismatch: a blob prepared for ε=6 cannot answer ε=7.
 	if _, err := DecodeSetup(blob, Options{Epsilon: 7}); !errors.Is(err, ErrCodec) {
@@ -237,6 +245,19 @@ func boolsToBytes(a cnf.Assignment) []byte {
 }
 
 // patchCRC recomputes the trailer checksum over data[:body].
+// v1Frame rewrites a current frame in the version 1 layout: six more
+// zero u64 counters after the base stats counters, a matching payload
+// length, and a valid checksum.
+func v1Frame(blob []byte) []byte {
+	body := len(blob) - 4
+	tail := body - (4 + 1 + 4) // SetupRounds, EasyCase and Q follow the counters
+	out := append(bytes.Clone(blob[:tail]), make([]byte, 6*8)...)
+	out = append(out, blob[tail:body]...)
+	binary.LittleEndian.PutUint16(out[4:], 1)
+	binary.LittleEndian.PutUint32(out[6:], uint32(len(out)-setupHdrLen))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
 func patchCRC(data []byte, body int) {
 	crc := crc32.Checksum(data[:body], crcTable)
 	binary.LittleEndian.PutUint32(data[body:], crc)

@@ -88,21 +88,9 @@ type Stats struct {
 	Removed     int64
 	Compactions int64
 	ArenaBytes  int64
-	// Inprocessing / modern-CDCL diagnostics (same session-state caveat
-	// as Propagations): literals shed by vivification and self-subsuming
-	// strengthening, learnts deleted by subsumption, level-0 probes and
-	// the failed ones among them, polarity-source rotations, and
-	// backjumps converted to chronological backtracks. All zero unless
-	// the corresponding sat.Config knobs are enabled.
-	VivifiedLits     int64
-	SubsumedLearnts  int64
-	ProbedLits       int64
-	FailedLits       int64
-	Rephases         int64
-	ChronoBacktracks int64
-	SetupRounds      int  // ApproxMC rounds during setup
-	EasyCase         bool // |R_F| ≤ hiThresh: sampling needs no hashing
-	Q                int  // the q of line 10
+	SetupRounds int  // ApproxMC rounds during setup
+	EasyCase    bool // |R_F| ≤ hiThresh: sampling needs no hashing
+	Q           int  // the q of line 10
 }
 
 // Merge combines two stats values: counters add, EasyCase ors, and the
@@ -123,12 +111,6 @@ func (st Stats) Merge(o Stats) Stats {
 	st.Removed += o.Removed
 	st.Compactions += o.Compactions
 	st.ArenaBytes = max(st.ArenaBytes, o.ArenaBytes)
-	st.VivifiedLits += o.VivifiedLits
-	st.SubsumedLearnts += o.SubsumedLearnts
-	st.ProbedLits += o.ProbedLits
-	st.FailedLits += o.FailedLits
-	st.Rephases += o.Rephases
-	st.ChronoBacktracks += o.ChronoBacktracks
 	st.SetupRounds += o.SetupRounds
 	st.EasyCase = st.EasyCase || o.EasyCase
 	if o.Q > st.Q {
@@ -145,12 +127,6 @@ func (st *Stats) addSolverStats(d sat.Stats) {
 	st.Removed += d.RemovedDB
 	st.Compactions += d.Compactions
 	st.ArenaBytes = max(st.ArenaBytes, d.ArenaBytes)
-	st.VivifiedLits += d.VivifiedLits
-	st.SubsumedLearnts += d.SubsumedLearnts
-	st.ProbedLits += d.ProbedLits
-	st.FailedLits += d.FailedLits
-	st.Rephases += d.Rephases
-	st.ChronoBacktracks += d.ChronoBacktracks
 }
 
 // AvgXORLen returns the mean XOR-clause length, the "Avg XOR len"
@@ -347,12 +323,13 @@ func sortWitnesses(ws []cnf.Assignment, s []cnf.Var) {
 	})
 }
 
-// SampleRound executes lines 12–22 of Algorithm 1 once against the
+// SampleRoundSpan executes lines 12–22 of Algorithm 1 once against the
 // caller's session and RNG, accumulating observable behaviour into st:
 // walk i over {q−3..q}, partition R_F with a fresh hash from
 // H_xor(|S|, i, 3), and return a uniformly chosen witness of the first
 // cell whose size lands within [loThresh, hiThresh]. It returns
-// ErrFailed for the ⊥ outcome.
+// ErrFailed for the ⊥ outcome, and ErrBudget when one i exhausts
+// MaxRetries budget-exceeded enumerations (the §5 retry protocol).
 //
 // Given the same RNG state, the outcome is independent of the session's
 // history as long as no conflict-budget exhaustion occurs: accepted
@@ -360,16 +337,11 @@ func sortWitnesses(ws []cnf.Assignment, s []cnf.Var) {
 // canonically ordered before the index pick, and budget retries redraw
 // only from this round's RNG. This is the determinism contract the
 // parallel engine builds on.
-func (su *Setup) SampleRound(sess *bsat.Session, rng *randx.RNG, st *Stats) (cnf.Assignment, error) {
-	return su.SampleRoundSpan(sess, rng, st, nil)
-}
-
-// SampleRoundSpan is SampleRound with per-phase tracing: each
-// cell-search attempt (one Enumerate against a drawn hash at cell
-// count 2^i) is recorded as a child span of sp, carrying the solver-
-// work delta of that enumeration. A nil sp disarms the tracing — every
-// span call degrades to a nil check — so SampleRound simply delegates
-// here.
+//
+// Each cell-search attempt (one Enumerate against a drawn hash at cell
+// count 2^i) is recorded as a child span of sp, carrying the solver-work
+// delta of that enumeration. A nil sp disarms the tracing: every span
+// call degrades to a nil check.
 func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, sp *obs.Span) (cnf.Assignment, error) {
 	_ = faultpoint.Fire(faultpoint.RoundPanic) // chaos: panics when armed
 	if su.easySet {
@@ -427,59 +399,6 @@ func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, 
 	return nil, ErrFailed
 }
 
-// SampleBatchRound is SampleRound's without-replacement batch variant:
-// one hashing round, up to k distinct witnesses from the accepted cell.
-func (su *Setup) SampleBatchRound(sess *bsat.Session, rng *randx.RNG, st *Stats, k int) ([]cnf.Assignment, error) {
-	if k <= 0 {
-		return nil, errors.New("unigen: batch size must be positive")
-	}
-	if su.easySet {
-		if len(su.easy) == 0 {
-			return nil, ErrUnsat
-		}
-		out := make([]cnf.Assignment, 0, k)
-		for _, idx := range rng.Perm(len(su.easy)) {
-			if len(out) == k {
-				break
-			}
-			out = append(out, su.easy[idx])
-		}
-		st.Samples += int64(len(out))
-		return out, nil
-	}
-	kp := su.kp
-	for i := su.q - 3; i <= su.q; i++ {
-		m := i
-		if m < 1 {
-			m = 1
-		}
-		h := hashfam.Draw(rng, su.s, m)
-		st.XORRows += int64(h.M())
-		st.XORLenSum += int64(h.TotalLen())
-		res := sess.Enumerate(kp.HiThresh+1, h)
-		st.BSATCalls++
-		st.addSolverStats(res.Stats)
-		if res.BudgetExceeded {
-			return nil, ErrBudget
-		}
-		n := len(res.Witnesses)
-		if float64(n) >= kp.LoThresh && n <= kp.HiThresh {
-			sortWitnesses(res.Witnesses, su.s)
-			out := make([]cnf.Assignment, 0, k)
-			for _, idx := range rng.Perm(n) {
-				if len(out) == k {
-					break
-				}
-				out = append(out, res.Witnesses[idx])
-			}
-			st.Samples += int64(len(out))
-			return out, nil
-		}
-	}
-	st.Failures++
-	return nil, ErrFailed
-}
-
 // Sampler is the amortized UniGen state for one formula plus one BSAT
 // session: a shared Setup (lines 1–11 of Algorithm 1) paired with a
 // private incremental solver. Each Sample call executes lines 12–22.
@@ -523,17 +442,7 @@ func (smp *Sampler) SamplingSet() []cnf.Var { return smp.setup.SamplingSet() }
 // Sample executes lines 12–22 of Algorithm 1 on this sampler's session.
 // It returns ErrFailed for the ⊥ outcome.
 func (smp *Sampler) Sample(rng *randx.RNG) (cnf.Assignment, error) {
-	return smp.setup.SampleRound(smp.sess, rng, &smp.stats)
-}
-
-// SampleBatch draws up to k witnesses from a single accepted cell,
-// without replacement — the optimization introduced by UniGen's
-// successor (UniGen2): one hashing round then amortizes over k
-// returned samples. Witnesses within a batch are NOT independent (they
-// are distinct by construction); use Sample for the DAC'14 guarantee.
-// It returns ErrFailed for a ⊥ round, like Sample.
-func (smp *Sampler) SampleBatch(rng *randx.RNG, k int) ([]cnf.Assignment, error) {
-	return smp.setup.SampleBatchRound(smp.sess, rng, &smp.stats, k)
+	return smp.setup.SampleRoundSpan(smp.sess, rng, &smp.stats, nil)
 }
 
 // SampleMany draws n witnesses, skipping ⊥ rounds, and reports how many

@@ -29,7 +29,7 @@
 //     interrupted real search.
 //   - SolverUnsat: same site. An Err here makes the call report an
 //     empty cell (spurious UNSAT) — rounds see ⊥ and retry.
-//   - RoundPanic: top of core.Setup.SampleRound. Tests the parallel
+//   - RoundPanic: top of core.Setup.SampleRoundSpan. Tests the parallel
 //     engine's worker recover (a panicking round must fail the request,
 //     not the process).
 package faultpoint

@@ -273,7 +273,7 @@ func TestSampleNRejectsNonPositive(t *testing.T) {
 	}
 }
 
-// TestStreamIndependentOfConsumption pins the property SampleRound
+// TestStreamIndependentOfConsumption pins the property SampleRoundSpan
 // relies on: the stream for round i does not depend on any other
 // round's stream having been consumed.
 func TestStreamIndependentOfConsumption(t *testing.T) {

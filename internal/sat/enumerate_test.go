@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -66,11 +67,9 @@ func bruteSet(f *cnf.Formula, vars []cnf.Var) map[string]bool {
 
 // TestEnumerateModelsMatchesBruteForce enumerates random CNF+XOR
 // formulas in one search and compares against the brute-force oracle,
-// under classic and chronological backtracking, with a cut-off run
-// and a second full run on the same solver.
+// with a cut-off run and a second full run on the same solver.
 func TestEnumerateModelsMatchesBruteForce(t *testing.T) {
 	rng := randx.New(1207)
-	chronoModels := 0
 	for iter := 0; iter < 200; iter++ {
 		n := 4 + rng.Intn(8)
 		f := randomXORCNF(rng, n, rng.Intn(3*n), 3, rng.Intn(3))
@@ -79,11 +78,7 @@ func TestEnumerateModelsMatchesBruteForce(t *testing.T) {
 			vars = vars[:n/2+1] // projected: blocking clauses over a subset
 		}
 		want := bruteSet(f, vars)
-		cfg := Config{Seed: uint64(iter)}
-		if iter%3 == 0 {
-			cfg.ChronoBacktrack = 1
-		}
-		s := New(f, cfg)
+		s := New(f, Config{Seed: uint64(iter)})
 		checkUnassigned(t, s, "after New")
 		if len(want) > 1 {
 			cut, st := enumerateSel(t, s, vars, len(want)-1)
@@ -96,20 +91,13 @@ func TestEnumerateModelsMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		before := s.stats.ChronoBacktracks
 		got, st := enumerateSel(t, s, vars, 1<<20)
 		if st != Unsat {
 			t.Fatalf("iter %d: full run ended %v, want Unsat", iter, st)
 		}
-		if !sameModelSets(got, want) {
+		if !maps.Equal(got, want) {
 			t.Fatalf("iter %d: %d models, brute force has %d", iter, len(got), len(want))
 		}
-		if s.stats.ChronoBacktracks > before {
-			chronoModels++
-		}
-	}
-	if chronoModels == 0 {
-		t.Fatal("no enumeration ran under chronological backtracking")
 	}
 }
 
@@ -334,7 +322,7 @@ func TestEnumerateModelsUnderAssumptions(t *testing.T) {
 			g.AddClauseLits(cnf.Clause{l})
 		}
 		want := bruteSet(g, vars)
-		s := New(f, Config{Seed: uint64(iter), ChronoBacktrack: iter % 2})
+		s := New(f, Config{Seed: uint64(iter)})
 		sel := s.NewClauseSelector()
 		got := map[string]bool{}
 		st := s.EnumerateModels(append(base, sel.Lit()), sel, vars, func(m cnf.Assignment) bool {
@@ -345,7 +333,7 @@ func TestEnumerateModelsUnderAssumptions(t *testing.T) {
 			got[key] = true
 			return true
 		})
-		if st != Unsat || !sameModelSets(got, want) {
+		if st != Unsat || !maps.Equal(got, want) {
 			t.Fatalf("iter %d: %v with %d models, brute force has %d", iter, st, len(got), len(want))
 		}
 		checkUnassigned(t, s, "after EnumerateModels")
@@ -385,14 +373,14 @@ func TestBlockModelLevel0Exhausts(t *testing.T) {
 
 // TestUnassignedCountLifecycle keeps the running count exact through
 // removable constraints, enumeration, Release, garbage collection,
-// compaction, Inprocess and fresh builds (the session rebuild path,
+// compaction and fresh builds (the session rebuild path,
 // Gauss–Jordan units included).
 func TestUnassignedCountLifecycle(t *testing.T) {
 	rng := randx.New(77)
 	for iter := 0; iter < 40; iter++ {
 		n := 6 + rng.Intn(6)
 		f := randomXORCNF(rng, n, rng.Intn(2*n), 3, rng.Intn(3))
-		cfg := inprocCfg(Config{Seed: uint64(iter), GaussJordan: iter%2 == 0})
+		cfg := Config{Seed: uint64(iter), GaussJordan: iter%2 == 0}
 		s := New(f, cfg)
 		checkUnassigned(t, s, "after New")
 		vars := allVars(n)
@@ -413,8 +401,6 @@ func TestUnassignedCountLifecycle(t *testing.T) {
 			s.CollectGarbage()
 			s.CompactArena()
 			checkUnassigned(t, s, "after GC")
-			s.Inprocess()
-			checkUnassigned(t, s, "after Inprocess")
 			if s.Tainted() {
 				s = New(f, cfg)
 				checkUnassigned(t, s, "after rebuild")

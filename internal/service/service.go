@@ -41,9 +41,9 @@
 // request runs round streams randx.Stream(seed, 0..) on a fresh engine
 // over that Setup, the same streams a cold run consumes (round outcomes
 // are solver-history-independent, so reused setups and fresh sessions
-// cannot diverge — see core.SampleRound). The one exemption, inherited
-// from the parallel engine's contract: runs in which conflict-budget
-// exhaustion fires may retry rounds differently.
+// cannot diverge — see core.Setup.SampleRoundSpan). The one exemption,
+// inherited from the parallel engine's contract: runs in which
+// conflict-budget exhaustion fires may retry rounds differently.
 package service
 
 import (

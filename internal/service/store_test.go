@@ -1,7 +1,10 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -227,6 +230,47 @@ func TestStoreCorruptEntryDegradesToCold(t *testing.T) {
 		t.Fatalf("store stats %+v, want 1 corrupt entry", st3.Store)
 	}
 	closeSvc(t, svc3)
+
+	// An intact entry written by the previous codec version is
+	// version skew: quarantined and served as a cold prepare too.
+	entries = setupEntries(t, dir)
+	if len(entries) != 1 {
+		t.Fatalf("%d entries after truncation fallback, want 1", len(entries))
+	}
+	blob, err = os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], v1Frame(blob), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	svc4 := newStoreService(t, dir)
+	res4, err := svc4.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 4, Seed: 3})
+	if err != nil {
+		t.Fatalf("version 1 entry surfaced as a request error: %v", err)
+	}
+	if got := projectAll(t, res4); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("version-skew fallback samples diverged:\n got: %v\n ref: %v", got, ref)
+	}
+	if st4 := svc4.Stats(); st4.Store.CorruptEntries != 1 || st4.Store.Hits != 0 {
+		t.Fatalf("store stats %+v, want 1 corrupt entry and 0 hits", st4.Store)
+	}
+	closeSvc(t, svc4)
+}
+
+// v1Frame rewrites a current setup frame in the version 1 layout of the
+// codec (six more zero u64 base-stats counters, a matching payload
+// length and a valid CRC-32C), as a store written by an older build
+// would hold it.
+func v1Frame(blob []byte) []byte {
+	body := len(blob) - 4
+	tail := body - (4 + 1 + 4) // SetupRounds, EasyCase and Q follow the counters
+	out := append(bytes.Clone(blob[:tail]), make([]byte, 6*8)...)
+	out = append(out, blob[tail:body]...)
+	binary.LittleEndian.PutUint16(out[4:], 1)
+	binary.LittleEndian.PutUint32(out[6:], uint32(len(out)-10))
+	crc := crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli))
+	return binary.LittleEndian.AppendUint32(out, crc)
 }
 
 // TestStoreSingleFlightAcrossTiers: concurrent cold requests against a
